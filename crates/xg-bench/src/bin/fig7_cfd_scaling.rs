@@ -7,9 +7,10 @@
 //!
 //! Two reproductions are reported:
 //!
-//! 1. **measured** — the real in-crate solver timed under rayon pools of
-//!    1..host-core threads on a reduced mesh, validating that the
-//!    slab-parallel sweeps scale on real hardware;
+//! 1. **measured** — the real in-crate solver timed under pools of
+//!    1..host-core threads on a reduced mesh. The workspace's
+//!    `vendor/rayon` runs every slab sequentially on the calling thread,
+//!    so each row is a single-core time, whatever the pool width;
 //! 2. **modelled** — the calibrated [`CfdPerfModel`] extrapolated to the
 //!    paper's node (1..64 cores, 10 jittered runs per point), which is the
 //!    curve to compare with Fig. 7 (this machine has fewer cores than the
@@ -59,10 +60,8 @@ fn main() {
         csv.push_str(&format!("{threads},measured,{t:.4},0,{:.3}\n", base / t));
         threads *= 2;
     }
-    if host_cores == 1 {
-        println!("  (single-core host: parallel scaling validated by the");
-        println!("   bitwise-determinism tests; curve comes from the model below)");
-    }
+    println!("  (vendor/rayon runs every slab on the calling thread: each row is a");
+    println!("   single-core time; the scaling curve comes from the model below)");
 
     // Part 2: calibrated paper-scale model, 10 runs per core count.
     let model = CfdPerfModel::notre_dame();

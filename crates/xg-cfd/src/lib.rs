@@ -11,7 +11,8 @@
 //!   domain, with canopy blocks and per-wall-panel porosity. Mesh
 //!   generation is deliberately a serial phase, as in the paper's runs,
 //!   because it bounds strong scaling (Fig. 7's plateau).
-//! * [`field`] — flat 3-D scalar fields with slab-parallel sweep support.
+//! * [`field`] — flat 3-D scalar fields with contiguous z-slabs, the unit
+//!   the solver sweeps split on.
 //! * [`boundary`] — boundary conditions derived from wind speed/direction
 //!   and screen porosity (breaches appear as high-porosity panels that
 //!   admit jets).
@@ -20,7 +21,8 @@
 //! * [`solver`] — the incompressible projection-method solver with upwind
 //!   advection, eddy-viscosity diffusion, Boussinesq buoyancy, and canopy
 //!   drag.
-//! * [`parallel`] — rayon thread-pool control plus the calibrated
+//! * [`parallel`] — thread-pool control (sequential under the vendored
+//!   `rayon` stand-in) plus the calibrated
 //!   performance model used to reproduce Fig. 7's scaling curve at paper
 //!   scale (and the §4.4 multi-node slowdown).
 //! * [`output`] — rasterized field output (CSV / PGM), the Fig. 3 panel.
