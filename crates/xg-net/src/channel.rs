@@ -17,8 +17,8 @@ use rand::Rng;
 pub struct ShadowingChannel {
     /// AR(1) correlation coefficient per TTI.
     rho: f64,
-    /// Stationary shadowing standard deviation (dB).
-    sigma_shadow: f64,
+    /// Innovation scale `√(1-ρ²)·σ_sh` (dB), computed once at construction.
+    innovation: f64,
     /// Fast-fading standard deviation (dB), independent per TTI.
     sigma_fast: f64,
     /// Current shadowing state (dB).
@@ -31,7 +31,7 @@ impl ShadowingChannel {
         assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
         ShadowingChannel {
             rho,
-            sigma_shadow,
+            innovation: (1.0 - rho * rho).sqrt() * sigma_shadow,
             sigma_fast,
             state: 0.0,
         }
@@ -47,8 +47,10 @@ impl ShadowingChannel {
     /// Advance one TTI and return the SNR offset to apply (dB).
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Db {
         let w = gaussian(rng);
-        self.state =
-            self.rho * self.state + (1.0 - self.rho * self.rho).sqrt() * self.sigma_shadow * w;
+        // `innovation * w` is `(√(1-ρ²)·σ_sh)·w`: the product associates
+        // left exactly as the unhoisted expression did, so the state is
+        // bitwise unchanged.
+        self.state = self.rho * self.state + self.innovation * w;
         let fast = gaussian(rng) * self.sigma_fast;
         Db(self.state + fast)
     }
@@ -123,6 +125,23 @@ mod tests {
             .sum::<f64>()
             / (n - 1) as f64;
         assert!(cov / var > 0.95, "lag-1 autocorr {}", cov / var);
+    }
+
+    #[test]
+    fn hoisted_innovation_matches_the_inline_ar1_update() {
+        // The AR(1) update as written before the scale was hoisted:
+        // `ρ·s + √(1-ρ²)·σ_sh·w`, evaluated left to right.
+        let (rho, sigma_shadow, sigma_fast) = (0.999, 1.2, 0.4);
+        let mut ch = ShadowingChannel::new(rho, sigma_shadow, sigma_fast);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut inline_rng = rng.clone();
+        let mut state = 0.0f64;
+        for _ in 0..10_000 {
+            let w = gaussian(&mut inline_rng);
+            state = rho * state + (1.0 - rho * rho).sqrt() * sigma_shadow * w;
+            let want = state + gaussian(&mut inline_rng) * sigma_fast;
+            assert_eq!(ch.step(&mut rng).0.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! reproduced by proportional fair under asymmetric UE channels; the slicing
 //! isolation of Fig. 6 is enforced here by allocating strictly within slice
 //! quotas.
+//!
+//! The link simulator keeps one scheduler per slice and hands it that
+//! slice's bucket of requesting UEs each TTI, in ascending UE id order
+//! (the round-robin remainder rotation depends on that order). A
+//! scheduler allocates nothing per TTI once warm: per-UE state is a
+//! `Vec` indexed by the simulator's dense UE ids, and proportional fair
+//! apportions in scratch buffers it owns.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,8 +52,20 @@ pub struct MacScheduler {
     kind: SchedulerKind,
     /// Rotation offset for round-robin remainder assignment.
     rr_turn: u64,
-    /// EWMA of served bits per TTI, per UE (proportional fair).
-    avg_bits: BTreeMap<u32, f64>,
+    /// EWMA of served bits per TTI, indexed by UE id (proportional
+    /// fair). An id past the end, or a removed UE, reads as 0.0.
+    avg_bits: Vec<f64>,
+    /// Proportional-fair apportionment buffers, reused across TTIs.
+    pf: PfScratch,
+}
+
+/// Buffers of one proportional-fair apportionment, one entry per request.
+#[derive(Debug, Clone, Default)]
+struct PfScratch {
+    weights: Vec<f64>,
+    exact: Vec<f64>,
+    grants: Vec<u32>,
+    order: Vec<usize>,
 }
 
 impl MacScheduler {
@@ -56,7 +74,8 @@ impl MacScheduler {
         MacScheduler {
             kind,
             rr_turn: 0,
-            avg_bits: BTreeMap::new(),
+            avg_bits: Vec::new(),
+            pf: PfScratch::default(),
         }
     }
 
@@ -111,14 +130,19 @@ impl MacScheduler {
         }));
     }
 
-    fn allocate_pf_into(&self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
-        let mut weights: Vec<f64> = requests
-            .iter()
-            .map(|r| {
-                let avg = self.avg_bits.get(&r.ue).copied().unwrap_or(0.0);
-                r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
-            })
-            .collect();
+    fn allocate_pf_into(&mut self, quota: u32, requests: &[UlRequest], out: &mut Vec<(u32, u32)>) {
+        let avg_bits = &self.avg_bits;
+        let PfScratch {
+            weights,
+            exact,
+            grants,
+            order,
+        } = &mut self.pf;
+        weights.clear();
+        weights.extend(requests.iter().map(|r| {
+            let avg = avg_bits.get(r.ue as usize).copied().unwrap_or(0.0);
+            r.weight.max(0.0) * r.inst_eff.max(1e-9) / avg.max(PF_FLOOR)
+        }));
         if weights.iter().sum::<f64>() <= 0.0 {
             // Every requester was weighted to zero; degrade to an equal
             // split rather than dividing by zero below.
@@ -126,10 +150,14 @@ impl MacScheduler {
         }
         let total: f64 = weights.iter().sum();
         // Largest-remainder apportionment of the quota by weight.
-        let exact: Vec<f64> = weights.iter().map(|w| w / total * quota as f64).collect();
-        let mut grants: Vec<u32> = exact.iter().map(|e| e.floor() as u32).collect();
+        exact.clear();
+        exact.extend(weights.iter().map(|w| w / total * quota as f64));
+        grants.clear();
+        grants.extend(exact.iter().map(|e| e.floor() as u32));
         let assigned: u32 = grants.iter().sum();
-        let mut order: Vec<usize> = (0..grants.len()).collect();
+        order.clear();
+        order.extend(0..grants.len());
+        // A stable sort: equal remainders keep request (UE id) order.
         order.sort_by(|&a, &b| {
             let fa = exact[a] - exact[a].floor();
             let fb = exact[b] - exact[b].floor();
@@ -138,19 +166,26 @@ impl MacScheduler {
         for &i in order.iter().take(quota.saturating_sub(assigned) as usize) {
             grants[i] += 1;
         }
-        out.extend(requests.iter().zip(grants).map(|(r, g)| (r.ue, g)));
+        out.extend(requests.iter().zip(grants.iter()).map(|(r, &g)| (r.ue, g)));
     }
 
     /// Record the bits actually served to a UE this TTI (drives the
-    /// proportional-fair average).
+    /// proportional-fair average). State is kept for every id up to the
+    /// largest observed, so ids should be dense, as the simulator's are.
     pub fn observe(&mut self, ue: u32, bits: f64) {
-        let avg = self.avg_bits.entry(ue).or_insert(0.0);
+        let i = ue as usize;
+        if i >= self.avg_bits.len() {
+            self.avg_bits.resize(i + 1, 0.0);
+        }
+        let avg = &mut self.avg_bits[i];
         *avg = (1.0 - PF_EWMA) * *avg + PF_EWMA * bits;
     }
 
     /// Forget a UE's scheduling state (on detach).
     pub fn remove(&mut self, ue: u32) {
-        self.avg_bits.remove(&ue);
+        if let Some(avg) = self.avg_bits.get_mut(ue as usize) {
+            *avg = 0.0;
+        }
     }
 }
 
@@ -317,6 +352,7 @@ mod tests {
         let mut s = MacScheduler::new(SchedulerKind::ProportionalFair);
         s.observe(7, 500.0);
         s.remove(7);
-        assert!(s.avg_bits.is_empty());
+        // A removed UE reads as a never-served one.
+        assert!(s.avg_bits.iter().all(|&a| a == 0.0));
     }
 }

@@ -8,6 +8,7 @@ use crate::error::{NetError, Result};
 use crate::rat::Rat;
 use crate::units::{Db, MHz};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Subcarriers per physical resource block (both LTE and NR).
 pub const SUBCARRIERS_PER_PRB: u32 = 12;
@@ -38,6 +39,9 @@ impl Scs {
         1_000.0 / self.slots_per_second() as f64
     }
 }
+
+/// The widest uplink grid [`prb_count`] returns (NR, 50 MHz at 15 kHz SCS).
+pub(crate) const MAX_PRBS: u32 = 270;
 
 /// Number of uplink PRBs for a given RAT, subcarrier spacing, and channel
 /// bandwidth.
@@ -165,8 +169,31 @@ impl UplinkPower {
         if n_prb == 0 {
             return Db(f64::NEG_INFINITY);
         }
-        let spread = 10.0 * (n_prb as f64).log10();
-        Db((self.snr_one_prb.0 - spread).min(self.snr_cap.0))
+        self.snr_at_spread(Self::spread_db(n_prb))
+    }
+
+    /// Power-spread loss (dB) of a grant of `n_prb` PRBs: `10·log10(n_prb)`.
+    /// The one definition behind both [`snr`](Self::snr) and
+    /// [`spread_table`](Self::spread_table).
+    pub(crate) fn spread_db(n_prb: u32) -> f64 {
+        10.0 * (n_prb as f64).log10()
+    }
+
+    /// `spread_db(n)` for every `n` in `0..=MAX_PRBS`, so the TTI loop
+    /// looks the spread up instead of taking a `log10`. Built once per
+    /// process and shared by every cell, so building a cell costs no
+    /// `log10` calls. Entry 0 is `-inf` and unused: a zero-PRB grant has
+    /// no SNR.
+    pub(crate) fn spread_table() -> &'static [f64] {
+        static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
+        TABLE.get_or_init(|| (0..=MAX_PRBS).map(Self::spread_db).collect())
+    }
+
+    /// Per-PRB SNR at a spread loss from [`spread_db`](Self::spread_db)
+    /// or [`spread_table`](Self::spread_table); equal to `snr(n)` bit for
+    /// bit for `n ≥ 1`.
+    pub(crate) fn snr_at_spread(&self, spread_db: f64) -> Db {
+        Db((self.snr_one_prb.0 - spread_db).min(self.snr_cap.0))
     }
 }
 
@@ -232,6 +259,44 @@ mod tests {
         assert!((p.snr(100).0 - 10.0).abs() < 1e-9);
         // Zero PRBs: no signal.
         assert_eq!(p.snr(0).0, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn spread_table_covers_every_grid() {
+        let table = UplinkPower::spread_table();
+        assert_eq!(table.len(), MAX_PRBS as usize + 1);
+        for rat in [Rat::Lte4g, Rat::Nr5g] {
+            for scs in [Scs::Khz15, Scs::Khz30] {
+                for mhz in [1.4, 3.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0] {
+                    if let Ok(n) = prb_count(rat, scs, MHz(mhz)) {
+                        assert!(n <= MAX_PRBS, "{rat:?} {scs:?} {mhz} MHz: {n} PRBs");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spread_table_matches_snr_bitwise() {
+        let table = UplinkPower::spread_table();
+        for power in [
+            UplinkPower {
+                snr_one_prb: Db(30.0),
+                snr_cap: Db(15.0),
+            },
+            UplinkPower {
+                snr_one_prb: Db(41.3),
+                snr_cap: Db(27.7),
+            },
+        ] {
+            for n in 1..=MAX_PRBS {
+                assert_eq!(
+                    power.snr_at_spread(table[n as usize]).0.to_bits(),
+                    power.snr(n).0.to_bits(),
+                    "n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub struct UeContext {
     pub pending_bits: f64,
     /// Bits delivered during the current one-second accounting window.
     pub window_bits: f64,
-    /// Sum of per-TTI modem factors weighted by granted bits, used to apply
-    /// the modem's allocation-bandwidth decay to the window total.
+    /// PRB·TTIs granted during the current one-second accounting window
+    /// (the sum of this UE's non-zero per-TTI grants, in PRBs).
     pub window_granted_prb_ttis: u64,
     /// RIC-imposed spectral-efficiency ceiling (MCS cap); `None` leaves
     /// link adaptation unconstrained.
@@ -53,6 +53,29 @@ pub struct UeContext {
     pub e2_eff_sum: f64,
     /// E2 window: number of efficiency reports behind `e2_eff_sum`.
     pub e2_eff_ttis: u64,
+    /// Set by `LinkSimulator::detach`: the UE is deregistered and can no
+    /// longer be given traffic.
+    pub detached: bool,
+    /// Memo of the request pass's link budget (see [`RequestMemo`]).
+    pub(crate) request_memo: Option<RequestMemo>,
+}
+
+/// The uncapped spectral efficiency the scheduler's request pass last
+/// computed for a UE, with the inputs that can change between TTIs.
+///
+/// `efficiency(snr(share) + tdd_offset + snr_offset_db)` is otherwise a
+/// function of the UE's radio profile and the cell's duplex and link
+/// adaptation, all fixed for the UE's lifetime, so a hit on
+/// `(share, snr_offset_bits)` returns the exact bits a recomputation
+/// would. The RIC's MCS cap is applied after the memo, not inside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RequestMemo {
+    /// Expected per-UE PRB share the efficiency was computed at.
+    pub share: u32,
+    /// `snr_offset_db.to_bits()` of the cell-wide fault offset.
+    pub snr_offset_bits: u64,
+    /// Uncapped efficiency (bits per resource element).
+    pub eff: f64,
 }
 
 impl UeContext {
@@ -91,6 +114,8 @@ impl UeContext {
             e2_nack_ttis: 0,
             e2_eff_sum: 0.0,
             e2_eff_ttis: 0,
+            detached: false,
+            request_memo: None,
         }
     }
 
