@@ -333,10 +333,10 @@ fn vote_thresholds(csv: &mut String, seed: u64) {
             }
             // 6 reports per check.
             for _ in 0..6 {
-                let _ =
-                    net.advance_to(net.now().saturating_add(SimNs::from_secs_f64(
-                        xg_sensors::network::REPORT_INTERVAL_S,
-                    )));
+                let _ = net.advance_to(
+                    net.now()
+                        .saturating_add(xg_sensors::network::REPORT_INTERVAL),
+                );
                 let reports = net.take_reports();
                 let mean =
                     reports.iter().map(|r| r.wind_speed_ms).sum::<f64>() / reports.len() as f64;

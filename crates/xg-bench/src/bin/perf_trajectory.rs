@@ -1,7 +1,7 @@
 //! Perf trajectory: a schema-versioned performance snapshot of the hot
 //! paths, plus a regression gate over a committed baseline.
 //!
-//! Six probes cover the layers a PR typically touches:
+//! The probes cover the layers a change typically touches:
 //!
 //! * `histogram_record_ns` — one log-linear histogram record (the cost
 //!   every instrumented call site pays when observability is on);
@@ -19,9 +19,6 @@
 //! * `fleet_cell_second_ms` — one cell-second of batched TTI stepping
 //!   across a 4-cell RAN fleet (serial shard, so the number tracks the
 //!   per-cell cost rather than the host's core count);
-//! * `event_step_us` — one scheduled event through the xg-sim calendar
-//!   queue (pop + recurring re-push) under a mixed near/far-horizon
-//!   workload — the per-event overhead every engine drain pays;
 //! * `idle_hour_ms` — one idle-heavy simulated hour (a quiet weather
 //!   cell reporting 48 bytes per 300 s) through the event engine's
 //!   `advance_to`; the probe also gates on the idle-skip speedup over
@@ -240,35 +237,6 @@ fn bench_fleet_step(seed: u64) -> Summary {
         samples.push(start.elapsed().as_secs_f64() * 1_000.0 / CELLS as f64);
     }
     summarize("fleet_cell_second_ms", "ms", samples)
-}
-
-fn bench_event_step() -> Summary {
-    use xg_sim::{EventQueue, SimNs};
-    // Four recurring sources with co-prime-ish periods: three churn the
-    // wheel at TTI-to-millisecond scale, the fourth lives in the
-    // overflow (a 300 s report timer) so every sample exercises both
-    // halves of the calendar queue.
-    let periods: [u64; 4] = [1_000_000, 3_000_000, 7_000_000, 300_000_000_000];
-    let mut q = EventQueue::with_layout(1_000_000, 1024);
-    for (i, p) in periods.iter().enumerate() {
-        q.push(SimNs(*p), i as u32, i);
-    }
-    const BATCH: usize = 1_024;
-    let batches = scaled(64);
-    let mut samples = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..BATCH {
-            let ev = q.pop_due(SimNs(u64::MAX)).expect("sources recur forever");
-            q.push(
-                SimNs(ev.at.0 + periods[ev.source as usize]),
-                ev.source,
-                ev.payload,
-            );
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / 1_000.0 / BATCH as f64);
-    }
-    summarize("event_step_us", "us", samples)
 }
 
 /// A quiet weather-station cell: one UE trickling 48 bytes per 300 s.
@@ -630,8 +598,6 @@ fn run_probes(seed: u64) -> Vec<Summary> {
     out.push(bench_cfd_sweep());
     eprintln!("  fleet step ...");
     out.push(bench_fleet_step(seed));
-    eprintln!("  event step ...");
-    out.push(bench_event_step());
     eprintln!("  idle skip ...");
     out.push(bench_idle_skip(seed));
     eprintln!("  closed loop ...");

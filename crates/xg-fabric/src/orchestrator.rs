@@ -24,6 +24,12 @@
 //! CFD resolution, skipped results-return) instead of panicking, and
 //! every run can emit a [`ReliabilityReport`]. All time is virtual;
 //! nothing sleeps.
+//!
+//! The fabric keeps one [`SimNs`] clock. [`Advance::advance_to`] runs
+//! every report cycle due by its target, each as one ordered pass over
+//! the phases above; the f64 seconds handed to the timeline, the fault
+//! plan and the HPC sites are derived from the cycle count, never
+//! accumulated.
 
 use crate::backtest::{Backtester, CalibrationSample};
 use crate::error::FabricError;
@@ -60,18 +66,16 @@ use xg_obs::{Obs, SpanId, TraceId};
 use xg_ric::Ric;
 use xg_sensors::breach::Breach;
 use xg_sensors::facility::CupsFacility;
-use xg_sensors::network::{BoundaryConditions, SensorNetwork};
+use xg_sensors::network::{BoundaryConditions, SensorNetwork, REPORT_INTERVAL};
 use xg_sensors::qc::QcScreen;
 use xg_sensors::telemetry::TelemetryRecord;
-use xg_sim::{Advance, EventQueue, SimNs};
+use xg_sim::{Advance, SimNs};
 
 /// Full-fabric configuration.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// RNG seed for every stochastic component.
     pub seed: u64,
-    /// Telemetry reporting interval (s).
-    pub report_interval_s: f64,
     /// Reports per change-detection duty cycle (paper: 6 = 30 min).
     pub detect_every_reports: usize,
     /// The change detector.
@@ -151,7 +155,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             seed: 42,
-            report_interval_s: 300.0,
             detect_every_reports: 6,
             detector: ChangeDetector::default(),
             site: SiteProfile::notre_dame_crc(),
@@ -328,58 +331,6 @@ impl CycleSpans {
     }
 }
 
-/// One phase of the report cycle, registered as a recurring event
-/// source on the fabric's calendar queue. Registration order (the
-/// [`PHASES`] table, mirroring how xg-ric registers xApps) fixes the
-/// source id, and the scheduler's `(time, source, seq)` tie-break
-/// replays the phases of a coincident cycle instant in exactly this
-/// order — so one [`Advance::advance_to`] drain reproduces the legacy
-/// `run_report_cycle` body statement for statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FabricPhase {
-    /// Advance the fault plan and apply state changes.
-    Faults,
-    /// Burst-probe the RAN fleet; worst cell lands on the timeline.
-    RanProbe,
-    /// Deliver E2 indications to the RIC and apply its actions.
-    RicStep,
-    /// Drain the sensor network's report round through QC.
-    SensePoll,
-    /// Ship the cycle's records through the field gateway.
-    GatewayShip,
-    /// Advance the HPC sites; service retries and completions.
-    HpcAdvance,
-    /// Evaluate measured SLOs and move the degradation ladder.
-    SloObserve,
-    /// The 30-minute change-detection duty cycle (internally gated).
-    ChangeDetect,
-    /// Close the cycle: impairment tracking and span-tree flush.
-    CycleClose,
-}
-
-/// The cycle's phases in registration order (= event-source id order).
-const PHASES: [FabricPhase; 9] = [
-    FabricPhase::Faults,
-    FabricPhase::RanProbe,
-    FabricPhase::RicStep,
-    FabricPhase::SensePoll,
-    FabricPhase::GatewayShip,
-    FabricPhase::HpcAdvance,
-    FabricPhase::SloObserve,
-    FabricPhase::ChangeDetect,
-    FabricPhase::CycleClose,
-];
-
-/// Per-cycle scratch threaded between the phase events of one cycle
-/// instant: opened by `Faults`, closed (taken) by `CycleClose`.
-struct CycleScratch {
-    cyc: CycleSpans,
-    /// QC-passed records of this cycle's report round.
-    records: Vec<TelemetryRecord>,
-    /// Transfer latency the gateway measured shipping them (ms).
-    latency_ms: f64,
-}
-
 /// Captured trigger context for one CFD run, including the resolution
 /// chosen by the degradation ladder at trigger time.
 struct PendingCfd {
@@ -429,7 +380,11 @@ pub struct XgFabric {
     qc: QcScreen,
     backtester: Backtester,
     timeline: Timeline,
-    t_s: f64,
+    /// Report cycles started; cycle `k` runs at `k` × [`REPORT_INTERVAL`].
+    cycles: u64,
+    /// Current time: the last `advance_to` target, or the instant of a
+    /// cycle that failed part-way.
+    now: SimNs,
     reports_done: usize,
     /// Live fault schedule (advanced copy of `config.faults`).
     faults: FaultPlan,
@@ -485,14 +440,6 @@ pub struct XgFabric {
     /// The most recent report cycle's wall-time critical path (enabled
     /// `obs` only); attached to every black-box bundle.
     last_critical: Option<CriticalPath>,
-    /// The fabric's calendar queue: every report-cycle phase is a
-    /// recurring event source on it, and [`Advance::advance_to`] is one
-    /// scheduler drain. Report-interval bucket width keeps each cycle
-    /// instant in a single wheel bucket.
-    events: EventQueue<FabricPhase>,
-    /// Scratch threaded between this cycle instant's phase events
-    /// (`None` between cycles).
-    cycle: Option<CycleScratch>,
 }
 
 impl XgFabric {
@@ -559,17 +506,6 @@ impl XgFabric {
                 xg_obs::recorder::install_panic_hook(recorder, dir, seed);
             });
         }
-        // Register the report-cycle phases as recurring event sources in
-        // PHASES order: source id = registration index, so the queue's
-        // (time, source, seq) tie-break replays a cycle instant in
-        // exactly the legacy statement order. Each phase fires first at
-        // the end of the first report interval and re-arms itself one
-        // interval ahead on every pop.
-        let mut events = EventQueue::with_layout(1_000_000_000, 1024);
-        let first = SimNs::from_secs_f64(config.report_interval_s);
-        for (source, phase) in PHASES.iter().enumerate() {
-            events.push(first, source as u32, *phase);
-        }
         Ok(XgFabric {
             config,
             net,
@@ -584,7 +520,8 @@ impl XgFabric {
             qc: QcScreen::new(),
             backtester: Backtester::default(),
             timeline: Timeline::default(),
-            t_s: 0.0,
+            cycles: 0,
+            now: SimNs::ZERO,
             reports_done: 0,
             faults,
             in_flight: Vec::new(),
@@ -617,8 +554,6 @@ impl XgFabric {
             prev_delivered: 0,
             bundles: Vec::new(),
             last_critical: None,
-            events,
-            cycle: None,
         })
     }
 
@@ -648,9 +583,11 @@ impl XgFabric {
         self.backtester.backtest(self.calibration?)
     }
 
-    /// Current virtual time (s).
+    /// Instant of the most recent report cycle (s), derived from the
+    /// cycle count so it never accumulates float error. It trails
+    /// [`Advance::now`] after an advance that ends between cycles.
     pub fn now_s(&self) -> f64 {
-        self.t_s
+        Self::cycle_instant(self.cycles).as_secs_f64()
     }
 
     /// Current degradation ladder level.
@@ -704,214 +641,155 @@ impl XgFabric {
     }
 
     /// Run one 300-second report cycle: a compatibility wrapper that
-    /// drains the event queue through exactly one report interval. The
-    /// cycle's phases are recurring events on the fabric's calendar
-    /// queue (see [`FabricPhase`]); [`Advance::advance_to`] is the
+    /// advances one report interval; [`Advance::advance_to`] is the
     /// primitive.
     pub fn run_report_cycle(&mut self) -> Result<(), FabricError> {
-        let interval = SimNs::from_secs_f64(self.config.report_interval_s);
-        self.advance_to(self.events.now().saturating_add(interval))
+        self.advance_to(self.now.saturating_add(REPORT_INTERVAL))
     }
 
-    /// Execute one phase event of the report cycle. Phases of one cycle
-    /// instant hand the per-cycle scratch (span clock, QC-passed
-    /// records, transfer latency) to each other through `self.cycle`;
-    /// `Faults` opens it and `CycleClose` consumes it. A phase that
-    /// finds no scratch open (its cycle was aborted by an earlier
-    /// phase's error) is a no-op.
-    fn run_phase(&mut self, phase: FabricPhase) -> Result<(), FabricError> {
-        match phase {
-            FabricPhase::Faults => {
-                // One wall trace per cycle: phase boundaries are captured
-                // as timestamps and flushed into a span tree at cycle
-                // close, feeding the profiler's attribution tree and the
-                // cycle's critical path.
-                let mut cyc = CycleSpans::begin(&self.config.obs);
-                self.t_s += self.config.report_interval_s;
-                // Faults change state at report-cycle resolution; their
-                // downtime accounting inside the plan stays exact
-                // regardless.
-                let ph = cyc.start();
-                let changes = self.faults.advance_to(self.t_s);
-                for c in &changes {
-                    self.apply_fault(c);
-                }
-                cyc.end("fabric.faults.advance", ph);
-                self.cycle = Some(CycleScratch {
-                    cyc,
-                    records: Vec::new(),
-                    latency_ms: 0.0,
-                });
+    /// Instant of report cycle `k` (cycle 1 closes the first interval).
+    fn cycle_instant(k: u64) -> SimNs {
+        SimNs(REPORT_INTERVAL.0.saturating_mul(k))
+    }
+
+    /// One report cycle at [`XgFabric::now_s`]: faults, RAN probe, RIC
+    /// step, sense poll, gateway ship, HPC advance, SLO observe and
+    /// change detect, each timed as a `fabric.*` wall span, then the
+    /// close. A phase error returns at once and skips the rest of the
+    /// cycle, the span flush included.
+    fn run_cycle(&mut self) -> Result<(), FabricError> {
+        let t_s = self.now_s();
+        // One wall trace per cycle: phase boundaries are captured as
+        // timestamps and flushed into a span tree at the close, feeding
+        // the profiler's attribution tree and the cycle's critical path.
+        let mut cyc = CycleSpans::begin(&self.config.obs);
+
+        // Faults change state at report-cycle resolution; their downtime
+        // accounting inside the plan stays exact regardless.
+        let ph = cyc.start();
+        let changes = self.faults.advance_to(t_s);
+        for c in &changes {
+            self.apply_fault(c);
+        }
+        cyc.end("fabric.faults.advance", ph);
+
+        // Step the RAN fleet one probe batch: measured per-cell goodput
+        // lands on the registry (feeding the SLO window) and the worst
+        // cell lands on the timeline, every cycle.
+        let ph = cyc.start();
+        let health = self.ran.probe();
+        cyc.end("fabric.ran.probe", ph);
+        if let Some(worst) = health
+            .iter()
+            .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
+        {
+            self.timeline.push(Event::RanProbed {
+                t_s,
+                cells: health.len(),
+                worst_cell: worst.name.clone(),
+                worst_goodput_mbps: worst.goodput_mbps,
+            });
+        }
+
+        // Near-RT RIC loop: deliver this cycle's E2 indications (cells
+        // that are partitioned, or whose indication stream is dropped by
+        // a fault, go stale inside the engine), run the xApps, and apply
+        // the conflict-resolved actions to the live fleet — so the
+        // control response lands before the next probe batch. The drain
+        // itself is pure reads + resets; with zero xApps the whole block
+        // emits nothing and the run is bitwise identical to a RIC-less
+        // one.
+        let ph = cyc.start();
+        if let Some(ric) = &mut self.ric {
+            let mut fresh = self.ran.collect_indications();
+            let ran = &self.ran;
+            let dropped = &self.ric_dropped;
+            fresh.retain(|ind| match ran.cell_name(ind.cell) {
+                Some(name) => !ran.cell_down(name) && !dropped.contains(name),
+                None => false,
+            });
+            let outcome = ric.step(fresh, t_s);
+            if let Some(o) = &self.obs {
+                o.ric_actions.add(outcome.actions.len() as u64);
+                o.ric_held.add(outcome.held as u64);
+                o.ric_stale_cells.set(outcome.stale_cells.len() as f64);
             }
-            FabricPhase::RanProbe => {
-                // Step the RAN fleet one probe batch: measured per-cell
-                // goodput lands on the registry (feeding the SLO window)
-                // and the worst cell lands on the timeline, every cycle.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let health = self.ran.probe();
-                s.cyc.end("fabric.ran.probe", ph);
-                if let Some(worst) = health
-                    .iter()
-                    .min_by(|a, b| a.goodput_mbps.total_cmp(&b.goodput_mbps))
-                {
-                    self.timeline.push(Event::RanProbed {
-                        t_s: self.t_s,
-                        cells: health.len(),
-                        worst_cell: worst.name.clone(),
-                        worst_goodput_mbps: worst.goodput_mbps,
+            for (xapp, action) in &outcome.actions {
+                // A rejected action (the RAN refused the knob) is
+                // dropped; the xApp re-decides from the next indication.
+                if self.ran.apply_ric_action(action).is_ok() {
+                    self.timeline.push(Event::RicAction {
+                        t_s,
+                        xapp: (*xapp).to_string(),
+                        action: action.describe(),
                     });
                 }
-                self.cycle = Some(s);
-            }
-            FabricPhase::RicStep => {
-                // Near-RT RIC loop: deliver this cycle's E2 indications
-                // (cells that are partitioned, or whose indication stream
-                // is dropped by a fault, go stale inside the engine), run
-                // the xApps, and apply the conflict-resolved actions to
-                // the live fleet — so the control response lands before
-                // the next probe batch. The drain itself is pure reads +
-                // resets; with zero xApps the whole block emits nothing
-                // and the run is bitwise identical to a RIC-less one.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                if let Some(ric) = &mut self.ric {
-                    let mut fresh = self.ran.collect_indications();
-                    let ran = &self.ran;
-                    let dropped = &self.ric_dropped;
-                    fresh.retain(|ind| match ran.cell_name(ind.cell) {
-                        Some(name) => !ran.cell_down(name) && !dropped.contains(name),
-                        None => false,
-                    });
-                    let outcome = ric.step(fresh, self.t_s);
-                    if let Some(o) = &self.obs {
-                        o.ric_actions.add(outcome.actions.len() as u64);
-                        o.ric_held.add(outcome.held as u64);
-                        o.ric_stale_cells.set(outcome.stale_cells.len() as f64);
-                    }
-                    for (xapp, action) in &outcome.actions {
-                        // A rejected action (the RAN refused the knob) is
-                        // dropped; the xApp re-decides from the next
-                        // indication.
-                        if self.ran.apply_ric_action(action).is_ok() {
-                            self.timeline.push(Event::RicAction {
-                                t_s: self.t_s,
-                                xapp: (*xapp).to_string(),
-                                action: action.describe(),
-                            });
-                        }
-                    }
-                }
-                s.cyc.end("fabric.ric.step", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::SensePoll => {
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                // Drain the sensor network's own event engine through one
-                // report round, then collect what it buffered.
-                let next = self
-                    .net
-                    .now()
-                    .saturating_add(SimNs::from_secs_f64(xg_sensors::network::REPORT_INTERVAL_S));
-                let _ = self.net.advance_to(next);
-                let raw = self.net.take_reports();
-                // Quality control before anything becomes a CFD boundary
-                // condition (§2's data-calibration concern).
-                let (records, _rejected) = self.qc.filter(&raw);
-                s.cyc.end("fabric.sense.poll", ph);
-                s.records = records;
-                self.cycle = Some(s);
-            }
-            FabricPhase::GatewayShip => {
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let cycle = self.gateway.ship_cycle(&s.records)?;
-                s.cyc.end("fabric.gateway.ship", ph);
-                self.last_transfer_ms = cycle.latency_ms;
-                s.latency_ms = cycle.latency_ms;
-                if let Some(o) = &self.obs {
-                    o.report_cycles.inc();
-                }
-                self.timeline.push(Event::TelemetryShipped {
-                    t_s: self.t_s,
-                    latency_ms: cycle.latency_ms,
-                    records: s.records.len(),
-                });
-                self.reports_done += 1;
-                self.cycle = Some(s);
-            }
-            FabricPhase::HpcAdvance => {
-                // Advance the HPC side, resubmit lost tasks, absorb
-                // completions.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                self.hpc.advance_to(self.t_s);
-                self.service_retries();
-                self.service_completions();
-                s.cyc.end("fabric.hpc.advance", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::SloObserve => {
-                // Measured SLO evaluation before change detection, so
-                // this cycle's breach can move the ladder this cycle
-                // (within the 300 s duty cycle).
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                self.observe_cycle(s.latency_ms);
-                self.update_degradation(s.records.len());
-                s.cyc.end("fabric.slo.observe", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::ChangeDetect => {
-                // 30-minute change-detection duty cycle, gated on
-                // telemetry that actually reached the repository: a
-                // partition defers detection instead of re-reading stale
-                // windows.
-                let Some(mut s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                let ph = s.cyc.start();
-                let repo_len = self.gateway.repo_wind_len();
-                if self
-                    .reports_done
-                    .is_multiple_of(self.config.detect_every_reports)
-                {
-                    if repo_len >= 2 * self.config.detector.window
-                        && repo_len
-                            >= self.wind_len_at_last_detect + self.config.detect_every_reports
-                    {
-                        self.run_change_detection(&s.records, repo_len)?;
-                    } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
-                        // The duty cycle wanted to run but the partition
-                        // starved the repository: start the deferral
-                        // clock.
-                        self.deferred_check_since = Some(self.t_s);
-                    }
-                }
-                s.cyc.end("fabric.change.detect", ph);
-                self.cycle = Some(s);
-            }
-            FabricPhase::CycleClose => {
-                let Some(s) = self.cycle.take() else {
-                    return Ok(());
-                };
-                self.track_impairment();
-                self.finish_cycle_profiling(s.cyc);
             }
         }
+        cyc.end("fabric.ric.step", ph);
+
+        // The sensor network runs on the fabric's cycle grid: advance it
+        // to this instant and collect its report round.
+        let ph = cyc.start();
+        let Ok(()) = self.net.advance_to(self.now);
+        let raw = self.net.take_reports();
+        // Quality control before anything becomes a CFD boundary
+        // condition (§2's data-calibration concern).
+        let (records, _rejected) = self.qc.filter(&raw);
+        cyc.end("fabric.sense.poll", ph);
+
+        let ph = cyc.start();
+        let latency_ms = self.gateway.ship_cycle(&records)?.latency_ms;
+        cyc.end("fabric.gateway.ship", ph);
+        self.last_transfer_ms = latency_ms;
+        if let Some(o) = &self.obs {
+            o.report_cycles.inc();
+        }
+        self.timeline.push(Event::TelemetryShipped {
+            t_s,
+            latency_ms,
+            records: records.len(),
+        });
+        self.reports_done += 1;
+
+        // Advance the HPC side, resubmit lost tasks, absorb completions.
+        let ph = cyc.start();
+        self.hpc.advance_to(t_s);
+        self.service_retries();
+        self.service_completions();
+        cyc.end("fabric.hpc.advance", ph);
+
+        // Measured SLO evaluation before change detection, so this
+        // cycle's breach can move the ladder this cycle (within the
+        // 300 s duty cycle).
+        let ph = cyc.start();
+        self.observe_cycle(latency_ms);
+        self.update_degradation(records.len());
+        cyc.end("fabric.slo.observe", ph);
+
+        // 30-minute change-detection duty cycle, gated on telemetry that
+        // actually reached the repository: a partition defers detection
+        // instead of re-reading stale windows.
+        let ph = cyc.start();
+        let repo_len = self.gateway.repo_wind_len();
+        if self
+            .reports_done
+            .is_multiple_of(self.config.detect_every_reports)
+        {
+            if repo_len >= 2 * self.config.detector.window
+                && repo_len >= self.wind_len_at_last_detect + self.config.detect_every_reports
+            {
+                self.run_change_detection(&records, repo_len)?;
+            } else if self.gateway.backlog() > 0 && self.deferred_check_since.is_none() {
+                // The duty cycle wanted to run but the partition starved
+                // the repository: start the deferral clock.
+                self.deferred_check_since = Some(t_s);
+            }
+        }
+        cyc.end("fabric.change.detect", ph);
+
+        self.track_impairment();
+        self.finish_cycle_profiling(cyc);
         Ok(())
     }
 
@@ -963,7 +841,7 @@ impl XgFabric {
 
     /// Reliability accounting for the run so far.
     pub fn reliability_report(&self) -> ReliabilityReport {
-        let horizon = self.t_s;
+        let horizon = self.now_s();
         // Either the WAN route or the gateway's own cell going down
         // makes the repository unreachable from the field.
         let gateway_cell = self.ran.gateway_cell_name();
@@ -982,7 +860,7 @@ impl XgFabric {
         let mut total_s = self.impairment_total_s;
         if let Some(start) = self.impaired_since {
             episodes += 1;
-            total_s += self.t_s - start;
+            total_s += self.now_s() - start;
         }
         ReliabilityReport {
             horizon_s: horizon,
@@ -1006,6 +884,7 @@ impl XgFabric {
     }
 
     fn apply_fault(&mut self, change: &FaultChange) {
+        let t_s = self.now_s();
         match &change.kind {
             // The WAN route is shared; a partition entry severs both the
             // uplink and the results downlink for every cell.
@@ -1089,13 +968,13 @@ impl XgFabric {
             }
         }
         self.timeline.push(Event::FaultChanged {
-            t_s: self.t_s,
+            t_s,
             fault: format!("{:?}", change.kind),
             active: change.active,
         });
         if let Some(rec) = self.config.obs.recorder() {
             rec.note(
-                secs_to_us(self.t_s),
+                secs_to_us(t_s),
                 format!(
                     "fault {}: {}",
                     if change.active {
@@ -1125,7 +1004,7 @@ impl XgFabric {
     /// Move every task expected to still be running at the dead site into
     /// the retry queue.
     fn orphan_in_flight_at(&mut self, site: &str) {
-        let now = self.t_s;
+        let now = self.now_s();
         let mut kept = Vec::new();
         for f in self.in_flight.drain(..) {
             if f.site == site && f.finishes_at > now {
@@ -1148,10 +1027,11 @@ impl XgFabric {
     }
 
     fn service_retries(&mut self) {
+        let t_s = self.now_s();
         let task_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
         let mut waiting = Vec::new();
         for r in std::mem::take(&mut self.retries) {
-            if r.next_try_s > self.t_s {
+            if r.next_try_s > t_s {
                 waiting.push(r);
                 continue;
             }
@@ -1159,26 +1039,26 @@ impl XgFabric {
                 Some(p) => {
                     self.failovers += 1;
                     self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.t_s,
+                        t_s,
                         from_site: r.from_site,
                         to_site: Some(p.site.clone()),
                     });
                     self.in_flight.push(InFlightCfd {
                         pending: r.pending,
                         site: p.site,
-                        finishes_at: self.t_s + p.expected_completion_s,
+                        finishes_at: t_s + p.expected_completion_s,
                         attempts: r.attempts,
                     });
                 }
                 None => {
                     // Every site still unreachable: back off harder.
                     self.timeline.push(Event::FailoverTriggered {
-                        t_s: self.t_s,
+                        t_s,
                         from_site: r.from_site.clone(),
                         to_site: None,
                     });
                     waiting.push(RetryCfd {
-                        next_try_s: self.t_s + Self::backoff_s(r.attempts),
+                        next_try_s: t_s + Self::backoff_s(r.attempts),
                         attempts: r.attempts + 1,
                         ..r
                     });
@@ -1189,7 +1069,7 @@ impl XgFabric {
     }
 
     fn service_completions(&mut self) {
-        let now = self.t_s;
+        let now = self.now_s();
         let mut done: Vec<InFlightCfd> = Vec::new();
         let mut running = Vec::new();
         for f in self.in_flight.drain(..) {
@@ -1217,6 +1097,7 @@ impl XgFabric {
     /// (when a `blackbox_dir` is configured) on disk as bundles; the
     /// resulting degradation request feeds [`Self::update_degradation`].
     fn observe_cycle(&mut self, transfer_latency_ms: f64) {
+        let t_s = self.now_s();
         let Some(o) = &self.obs else { return };
         o.cycle_transfer_ms.record(transfer_latency_ms);
         o.gateway_backlog.set(self.gateway.backlog() as f64);
@@ -1234,8 +1115,8 @@ impl XgFabric {
         let Some(reg) = self.config.obs.registry() else {
             return;
         };
-        window.tick(reg, self.t_s);
-        let events = watchdog.evaluate(self.t_s, &window.view());
+        window.tick(reg, t_s);
+        let events = watchdog.evaluate(t_s, &window.view());
         self.slo_degradation = watchdog.degradation_target();
         for ev in events {
             let breached = ev.kind == SloEventKind::Breached;
@@ -1248,7 +1129,7 @@ impl XgFabric {
             }
             if let Some(rec) = self.config.obs.recorder() {
                 rec.note(
-                    secs_to_us(self.t_s),
+                    secs_to_us(t_s),
                     format!(
                         "slo {}: {} (value {:.3} vs {:.3}, window {:.0}..{:.0}s)",
                         if breached { "breached" } else { "recovered" },
@@ -1262,14 +1143,14 @@ impl XgFabric {
             }
             self.timeline.push(if breached {
                 Event::SloBreached {
-                    t_s: self.t_s,
+                    t_s,
                     slo: ev.slo.clone(),
                     value: ev.value,
                     threshold: ev.threshold,
                 }
             } else {
                 Event::SloRecovered {
-                    t_s: self.t_s,
+                    t_s,
                     slo: ev.slo.clone(),
                     value: ev.value,
                     threshold: ev.threshold,
@@ -1302,7 +1183,7 @@ impl XgFabric {
             .unwrap_or_default();
         let ctx = BundleContext {
             reason: reason.to_string(),
-            t_s: self.t_s,
+            t_s: self.now_s(),
             seed: self.config.seed,
             context: vec![
                 ("active_faults".into(), self.faults.describe_active()),
@@ -1325,6 +1206,7 @@ impl XgFabric {
     /// request, so a latency collapse that creates *no* backlog (a RAN
     /// fade: every record still delivers, slowly) still degrades the CFD.
     fn update_degradation(&mut self, records_per_cycle: usize) {
+        let t_s = self.now_s();
         let cycles_behind = self.gateway.backlog() / records_per_cycle.max(1);
         let backlog_level = if cycles_behind >= 6 {
             2
@@ -1342,17 +1224,14 @@ impl XgFabric {
             }
             if let Some(rec) = self.config.obs.recorder() {
                 rec.note(
-                    secs_to_us(self.t_s),
+                    secs_to_us(t_s),
                     format!(
                         "degradation -> level {level} (backlog level {backlog_level}, slo level {})",
                         self.slo_degradation
                     ),
                 );
             }
-            self.timeline.push(Event::DegradationChanged {
-                t_s: self.t_s,
-                level,
-            });
+            self.timeline.push(Event::DegradationChanged { t_s, level });
         }
         if level > 0 {
             self.degraded_cycles += 1;
@@ -1381,15 +1260,16 @@ impl XgFabric {
     /// visibly hurt (route down, telemetry parked, or a CFD task waiting
     /// on failover) until everything is clean again.
     fn track_impairment(&mut self) {
+        let t_s = self.now_s();
         let impaired = self.route_down
             || self.gateway_cell_partitioned
             || self.gateway.backlog() > 0
             || !self.retries.is_empty();
         match (self.impaired_since, impaired) {
-            (None, true) => self.impaired_since = Some(self.t_s),
+            (None, true) => self.impaired_since = Some(t_s),
             (Some(start), false) => {
                 self.impairment_episodes += 1;
-                self.impairment_total_s += self.t_s - start;
+                self.impairment_total_s += t_s - start;
                 self.impaired_since = None;
             }
             _ => {}
@@ -1401,6 +1281,7 @@ impl XgFabric {
         records: &[TelemetryRecord],
         repo_len: usize,
     ) -> Result<(), FabricError> {
+        let t_s = self.now_s();
         // Build the two windows from the repository's wind log and feed
         // them through the deployed Laminar change-detection graph — the
         // program §3.7 runs at UCSB on a 30-minute duty cycle.
@@ -1433,11 +1314,11 @@ impl XgFabric {
         let inflation_s = self
             .deferred_check_since
             .take()
-            .map(|since| (self.t_s - since).max(0.0))
+            .map(|since| (t_s - since).max(0.0))
             .unwrap_or(0.0);
         self.detection_inflation_sum_s += inflation_s;
         self.timeline.push(Event::ChangeChecked {
-            t_s: self.t_s,
+            t_s,
             changed,
             votes: vote.votes,
         });
@@ -1460,12 +1341,12 @@ impl XgFabric {
         // stages chain onto the detection span when the run completes.
         let trace = self.config.obs.tracer().map(|tr| {
             let trace = tr.new_trace();
-            let transfer_end_s = self.t_s + self.last_transfer_ms / 1e3;
+            let transfer_end_s = t_s + self.last_transfer_ms / 1e3;
             let transfer = tr.record_sim_s(
                 trace,
                 None,
                 "telemetry.transfer",
-                self.t_s,
+                t_s,
                 transfer_end_s,
                 vec![("records".into(), records.len().to_string())],
             );
@@ -1483,7 +1364,7 @@ impl XgFabric {
             (trace, detect)
         });
         let pending = PendingCfd {
-            trigger_t_s: self.t_s,
+            trigger_t_s: t_s,
             bc,
             interior: self.interior_measurements(records),
             cells,
@@ -1497,7 +1378,7 @@ impl XgFabric {
         {
             Some((placement, decision)) => {
                 self.timeline.push(Event::PilotEvaluated {
-                    t_s: self.t_s,
+                    t_s,
                     n_required: decision.n_required,
                     n_available: decision.n_available,
                     submitted: decision.submitted.is_some(),
@@ -1505,7 +1386,7 @@ impl XgFabric {
                 self.in_flight.push(InFlightCfd {
                     pending,
                     site: placement.site,
-                    finishes_at: self.t_s + placement.expected_completion_s,
+                    finishes_at: t_s + placement.expected_completion_s,
                     attempts: 0,
                 });
             }
@@ -1516,7 +1397,7 @@ impl XgFabric {
                     pending,
                     from_site: self.config.site.name.clone(),
                     attempts: 1,
-                    next_try_s: self.t_s + Self::backoff_s(0),
+                    next_try_s: t_s + Self::backoff_s(0),
                 });
             }
         }
@@ -1559,7 +1440,7 @@ impl XgFabric {
         sim.set_obs(&self.config.obs);
         sim.run(pending.steps);
         let model_runtime = self.config.perf.total_time_s(self.config.cfd_cores);
-        let window_s = self.config.report_interval_s * self.config.detect_every_reports as f64;
+        let window_s = REPORT_INTERVAL.as_secs_f64() * self.config.detect_every_reports as f64;
         // Close out the trace's HPC stages: expected completion minus the
         // modelled runtime is queue wait masked (or not) by warm pilots.
         let return_parent = self.config.obs.tracer().and_then(|tr| {
@@ -1724,21 +1605,21 @@ impl Advance for XgFabric {
     type Error = FabricError;
 
     fn now(&self) -> SimNs {
-        self.events.now()
+        self.now
     }
 
-    /// Drain every phase event due at or before `t`. Each popped phase
-    /// re-arms itself one report interval ahead *before* running, so a
-    /// handler error (a gateway refusal, a failed detection) leaves the
-    /// schedule intact and the caller can resume by advancing again.
+    /// Run every report cycle whose instant is at or before `t`, then
+    /// move the clock to `t`. The cycle count moves on before a cycle
+    /// runs, so a phase error (a gateway refusal, a failed detection)
+    /// leaves the clock at that cycle's instant and the caller resumes
+    /// with the next cycle by advancing again.
     fn advance_to(&mut self, t: SimNs) -> std::result::Result<(), FabricError> {
-        let interval = SimNs::from_secs_f64(self.config.report_interval_s);
-        while let Some(ev) = self.events.pop_due(t) {
-            self.events
-                .push(ev.at.saturating_add(interval), ev.source, ev.payload);
-            self.run_phase(ev.payload)?;
+        while Self::cycle_instant(self.cycles + 1) <= t {
+            self.cycles += 1;
+            self.now = Self::cycle_instant(self.cycles);
+            self.run_cycle()?;
         }
-        self.events.drain_clock_to(t);
+        self.now = self.now.max(t);
         Ok(())
     }
 }

@@ -6,12 +6,11 @@
 //! and humidity measurements taken at the screen boundaries (both inside
 //! and outside)" (§2).
 //!
-//! Time is event-driven: the network registers two recurring sources on
-//! an [`xg_sim::EventQueue`] — a 60 s weather tick and a 300 s report
-//! round — and [`Advance::advance_to`] drains whatever falls due. At a
-//! coincident instant (every 300 s) the weather tick executes first
-//! (lower source id), reproducing the legacy "5 weather steps, then
-//! measure" RNG order bit-for-bit.
+//! Time runs on a fixed 60 s weather tick. [`Advance::advance_to`] fires
+//! every tick due by its target, and every fifth tick, once the weather
+//! has stepped, is a report round: the legacy "5 weather steps, then
+//! measure" RNG order, bit for bit. A quiet network still costs one
+//! weather step per 60 s it advances.
 
 use crate::facility::CupsFacility;
 use crate::station::{Placement, WeatherStation};
@@ -19,29 +18,16 @@ use crate::telemetry::TelemetryRecord;
 use crate::weather::{WeatherSim, WeatherState};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use xg_sim::{Advance, EventQueue, SimNs};
+use xg_sim::{Advance, SimNs};
 
-/// Reporting interval of the commodity weather stations (s).
-pub const REPORT_INTERVAL_S: f64 = 300.0;
+/// Weather micro-climate step.
+const WEATHER_STEP: SimNs = SimNs::from_secs(60);
 
-/// Weather micro-climate step (s); a report interval is 5 of them.
-const WEATHER_STEP_S: f64 = 60.0;
+/// Weather ticks per report round.
+const TICKS_PER_REPORT: u64 = 5;
 
-/// Event-source id of the weather tick (fires before a coincident
-/// report round: lower source wins the (time, source, seq) tie-break).
-const SRC_WEATHER: u32 = 0;
-/// Event-source id of the station report round.
-const SRC_REPORT: u32 = 1;
-
-/// The two recurring events of the station network.
-#[derive(Debug, Clone, Copy)]
-enum SensorEvent {
-    /// Advance the micro-climate by one 60 s step.
-    WeatherTick,
-    /// Measure every station and stash the reports for
-    /// [`SensorNetwork::take_reports`].
-    ReportRound,
-}
+/// Reporting interval of the commodity weather stations (300 s).
+pub const REPORT_INTERVAL: SimNs = SimNs(WEATHER_STEP.0 * TICKS_PER_REPORT);
 
 /// Boundary conditions for one CFD run, aggregated from station reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,14 +62,13 @@ pub struct SensorNetwork {
     /// on schedule but repeat their last healthy measurement.
     stuck: BTreeSet<u32>,
     last_reports: BTreeMap<u32, TelemetryRecord>,
-    /// The event calendar driving weather ticks and report rounds.
-    events: EventQueue<SensorEvent>,
-    /// Reports measured by drained report rounds, awaiting
+    /// Current time: the latest `advance_to` target.
+    now: SimNs,
+    /// Weather ticks fired so far; tick `k` falls at `k` × 60 s.
+    ticks: u64,
+    /// Reports measured by report rounds, awaiting
     /// [`take_reports`](Self::take_reports).
     pending: Vec<TelemetryRecord>,
-    /// Report rounds completed (drives the deprecated `poll` shim's
-    /// next-report target).
-    reports_done: u64,
 }
 
 impl SensorNetwork {
@@ -134,20 +119,6 @@ impl SensorNetwork {
             .enumerate()
             .map(|(i, p)| WeatherStation::new(i as u32, p, seed))
             .collect();
-        // 1 s buckets × 1024: both recurring periods (60 s, 300 s) stay
-        // inside the wheel, so pushes and pops never touch the overflow
-        // map.
-        let mut events = EventQueue::with_layout(1_000_000_000, 1024);
-        events.push(
-            SimNs::from_secs_f64(WEATHER_STEP_S),
-            SRC_WEATHER,
-            SensorEvent::WeatherTick,
-        );
-        events.push(
-            SimNs::from_secs_f64(REPORT_INTERVAL_S),
-            SRC_REPORT,
-            SensorEvent::ReportRound,
-        );
         SensorNetwork {
             facility,
             stations,
@@ -156,9 +127,9 @@ impl SensorNetwork {
             down: BTreeSet::new(),
             stuck: BTreeSet::new(),
             last_reports: BTreeMap::new(),
-            events,
+            now: SimNs::ZERO,
+            ticks: 0,
             pending: Vec::new(),
-            reports_done: 0,
         }
     }
 
@@ -222,8 +193,8 @@ impl SensorNetwork {
         note = "use xg_sim::Advance::advance_to plus take_reports — poll is a shim over the event engine"
     )]
     pub fn poll(&mut self) -> Vec<TelemetryRecord> {
-        let next = SimNs::from_secs_f64((self.reports_done + 1) as f64 * REPORT_INTERVAL_S);
-        let _ = self.advance_to(next);
+        let next = SimNs(REPORT_INTERVAL.0 * (self.ticks / TICKS_PER_REPORT + 1));
+        let Ok(()) = self.advance_to(next);
         self.take_reports()
     }
 
@@ -234,17 +205,14 @@ impl SensorNetwork {
         std::mem::take(&mut self.pending)
     }
 
-    /// One 300 s report round: measure every station against the current
-    /// weather and stash the surviving reports.
-    fn report_round(&mut self) {
-        let Some(state) = self.last_state else {
-            return;
-        };
+    /// One 300 s report round: measure every station against `state`
+    /// and stash the surviving reports.
+    fn report_round(&mut self, state: &WeatherState) {
         let facility = &self.facility;
         // Every station is measured even when faulted so RNG streams stay
         // identical between faulted and fault-free runs of the same seed.
         for s in self.stations.iter_mut() {
-            let measured = s.measure(&state, facility);
+            let measured = s.measure(state, facility);
             if self.down.contains(&s.id) {
                 continue;
             }
@@ -262,7 +230,6 @@ impl SensorNetwork {
             };
             self.pending.push(report);
         }
-        self.reports_done += 1;
     }
 
     /// Aggregate a set of simultaneous reports into CFD boundary
@@ -309,36 +276,22 @@ impl Advance for SensorNetwork {
     type Error = std::convert::Infallible;
 
     fn now(&self) -> SimNs {
-        self.events.now()
+        self.now
     }
 
-    /// Drain every weather tick and report round due at or before `t`,
-    /// in calendar order, then move the clock to `t`. Reports land in
-    /// the [`take_reports`](Self::take_reports) buffer. A quiet network
-    /// (no events due) advances in O(1) — no per-second stepping.
+    /// Fire every 60 s weather tick due at or before `t`, each fifth one
+    /// followed by a report round, then move the clock to `t`. Reports
+    /// land in the [`take_reports`](Self::take_reports) buffer.
     fn advance_to(&mut self, t: SimNs) -> Result<(), Self::Error> {
-        while let Some(ev) = self.events.pop_due(t) {
-            match ev.payload {
-                SensorEvent::WeatherTick => {
-                    self.last_state = Some(self.weather.run_steps(1));
-                    self.events.push(
-                        ev.at.saturating_add(SimNs::from_secs_f64(WEATHER_STEP_S)),
-                        SRC_WEATHER,
-                        SensorEvent::WeatherTick,
-                    );
-                }
-                SensorEvent::ReportRound => {
-                    self.report_round();
-                    self.events.push(
-                        ev.at
-                            .saturating_add(SimNs::from_secs_f64(REPORT_INTERVAL_S)),
-                        SRC_REPORT,
-                        SensorEvent::ReportRound,
-                    );
-                }
+        while SimNs(WEATHER_STEP.0.saturating_mul(self.ticks + 1)) <= t {
+            self.ticks += 1;
+            let state = self.weather.run_steps(1);
+            self.last_state = Some(state);
+            if self.ticks.is_multiple_of(TICKS_PER_REPORT) {
+                self.report_round(&state);
             }
         }
-        self.events.drain_clock_to(t);
+        self.now = self.now.max(t);
         Ok(())
     }
 }
@@ -364,10 +317,10 @@ mod tests {
         assert_eq!(reports.len(), net.station_count());
         let t = reports[0].t_s;
         assert!(reports.iter().all(|r| r.t_s == t), "simultaneous reports");
-        assert!((t - REPORT_INTERVAL_S).abs() < 1e-9);
+        assert!((t - REPORT_INTERVAL.as_secs_f64()).abs() < 1e-9);
         // Next poll advances by exactly one interval.
         let t2 = net.poll()[0].t_s;
-        assert!((t2 - 2.0 * REPORT_INTERVAL_S).abs() < 1e-9);
+        assert!((t2 - 2.0 * REPORT_INTERVAL.as_secs_f64()).abs() < 1e-9);
     }
 
     #[test]
@@ -472,7 +425,7 @@ mod tests {
             let r = reports.iter().find(|r| r.station_id == 2).unwrap();
             assert_eq!(r.wind_speed_ms, baseline.wind_speed_ms, "frozen value");
             assert_eq!(r.temp_c, baseline.temp_c);
-            let expect_t = (k + 1) as f64 * REPORT_INTERVAL_S;
+            let expect_t = (k + 1) as f64 * REPORT_INTERVAL.as_secs_f64();
             assert!((r.t_s - expect_t).abs() < 1e-9, "timestamp stays live");
         }
         net.set_station_stuck(2, false);
@@ -490,7 +443,7 @@ mod tests {
     #[test]
     fn advance_to_matches_poll_bitwise() {
         // One big advance over 4 report intervals must replay the exact
-        // event calendar the poll shim walks one interval at a time:
+        // tick sequence the poll shim walks one interval at a time:
         // same reports, bit for bit, in the same order.
         let mut polled = network(31);
         let mut evented = network(31);
@@ -498,9 +451,7 @@ mod tests {
         for _ in 0..4 {
             via_poll.extend(polled.poll());
         }
-        evented
-            .advance_to(SimNs::from_secs_f64(4.0 * REPORT_INTERVAL_S))
-            .unwrap();
+        evented.advance_to(SimNs(4 * REPORT_INTERVAL.0)).unwrap();
         let via_events = evented.take_reports();
         assert_eq!(via_poll.len(), via_events.len());
         for (p, e) in via_poll.iter().zip(&via_events) {

@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation core.
+//! Deterministic simulation time.
 //!
 //! Every subsystem in the fabric used to advance time its own way:
 //! `LinkSimulator::step_slots` walked every TTI, `SensorNetwork::poll`
@@ -13,21 +13,18 @@
 //!   forward to absolute time `t`, firing everything it owes in between.
 //!   Implemented by `LinkSimulator`, `RanFleet`, `SensorNetwork`, the
 //!   HPC controllers, `xg-cspot`'s `SimClock`, and the orchestrator.
-//! * [`EventQueue`] — a calendar-queue scheduler (bucketed wheel for
-//!   near events, `BTreeMap` overflow for far ones) with a stable
-//!   `(time, source, seq)` ordering so execution order is a pure
-//!   function of what was scheduled, never of container iteration
-//!   order. See [`queue`] for the layout and the tie-breaking rule.
+//!
+//! There is no shared scheduler: each engine owns the schedule that fits
+//! it. The RAN idle-skips to its next arrival inside its slot loop, the
+//! sensor network counts 60 s weather ticks (every fifth one is a report
+//! round), and the fabric runs one ordered report cycle per 300 s
+//! instant.
 //!
 //! The legacy entry points remain as `#[deprecated]` shims layered on
 //! the event engine; the stepped-vs-event bitwise-equality proptest in
 //! `tests/tests/event_engine.rs` pins that layering.
 
 #![deny(deprecated)]
-
-pub mod queue;
-
-pub use queue::{EventQueue, Scheduled};
 
 /// Absolute simulation time in integer nanoseconds since t = 0.
 ///
@@ -52,12 +49,12 @@ impl SimNs {
     pub const SECOND: SimNs = SimNs(1_000_000_000);
 
     /// Whole seconds, exact for integer-second times.
-    pub fn from_secs(s: u64) -> SimNs {
+    pub const fn from_secs(s: u64) -> SimNs {
         SimNs(s * Self::SECOND.0)
     }
 
     /// Whole milliseconds.
-    pub fn from_millis(ms: u64) -> SimNs {
+    pub const fn from_millis(ms: u64) -> SimNs {
         SimNs(ms * Self::MILLI.0)
     }
 
@@ -68,7 +65,7 @@ impl SimNs {
     }
 
     /// This time as float seconds (for the `f64`-second legacy surfaces).
-    pub fn as_secs_f64(self) -> f64 {
+    pub const fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 

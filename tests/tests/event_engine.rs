@@ -1,5 +1,5 @@
-//! Acceptance tests for the event-driven simulation core: the
-//! calendar-queue engine behind [`Advance::advance_to`] must be
+//! Acceptance tests for the event-driven simulation core: the RAN's
+//! event engine behind [`Advance::advance_to`] must be
 //! bitwise-indistinguishable from the stepped reference engine, idle
 //! time must cost O(events) rather than O(slots), and the unified time
 //! API must replay a whole fabric run seed-for-seed.
@@ -9,6 +9,7 @@ use xg_fabric::orchestrator::{FabricConfig, XgFabric};
 use xg_faults::{FaultKind, FaultPlan};
 use xg_net::prelude::*;
 use xg_net::traffic::TrafficModel;
+use xg_sensors::network::REPORT_INTERVAL;
 
 /// One of four qualitatively different offered-load shapes: always-on,
 /// trickle telemetry, constant video, and a mid-window burst.
@@ -175,7 +176,7 @@ fn fabric_advance_to_replays_run_cycles_bitwise() {
     let mut legacy = XgFabric::new(config());
     let mut event = XgFabric::new(config());
     legacy.run_cycles(12).expect("healthy loop");
-    let horizon = SimNs::from_secs_f64(12.0 * event.config.report_interval_s);
+    let horizon = SimNs(12 * REPORT_INTERVAL.0);
     event.advance_to(horizon).expect("healthy loop");
     assert_eq!(legacy.timeline(), event.timeline());
     assert_eq!(legacy.now_s(), event.now_s());
@@ -189,8 +190,11 @@ fn fabric_advance_to_replays_run_cycles_bitwise() {
     assert!((a.availability_experienced - b.availability_experienced).abs() < 1e-12);
 }
 
-/// A fractional-cycle advance runs no phases (the queue holds them for
-/// the cycle instant), and a later advance catches up exactly.
+/// A fractional-cycle advance runs no cycle, and a later advance
+/// catches up exactly. The fabric keeps one `SimNs` clock: `now()` sits
+/// on the cycle grid after whole cycles, `now_s()` is the last cycle's
+/// instant derived from it (bit-exact, never accumulated), and a
+/// backwards advance moves neither.
 #[test]
 fn partial_advance_buffers_cleanly() {
     let mut fab = XgFabric::new(FabricConfig {
@@ -199,13 +203,35 @@ fn partial_advance_buffers_cleanly() {
         cfd_steps: 10,
         ..Default::default()
     });
-    let interval = fab.config.report_interval_s;
-    fab.advance_to(SimNs::from_secs_f64(interval / 2.0))
-        .expect("no phases due");
+    let interval = REPORT_INTERVAL.as_secs_f64();
+    fab.advance_to(SimNs(REPORT_INTERVAL.0 / 2))
+        .expect("no cycle due");
+    assert_eq!(
+        fab.now(),
+        SimNs::from_secs(150),
+        "the clock moves to the target"
+    );
     assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 0);
     assert_eq!(fab.now_s(), 0.0, "virtual cycle clock untouched mid-cycle");
-    fab.advance_to(SimNs::from_secs_f64(3.0 * interval))
+    fab.advance_to(SimNs(3 * REPORT_INTERVAL.0))
         .expect("healthy loop");
     assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 3);
     assert!((fab.now_s() - 3.0 * interval).abs() < 1e-9);
+    for k in 4..=6u64 {
+        fab.run_report_cycle().expect("healthy loop");
+        assert_eq!(fab.now(), SimNs::from_secs(300 * k), "after {k} cycles");
+        assert_eq!(fab.now_s().to_bits(), (300.0 * k as f64).to_bits());
+    }
+    fab.advance_to(SimNs::from_secs(150))
+        .expect("backwards is a no-op");
+    assert_eq!(fab.now(), SimNs::from_secs(1_800));
+    assert_eq!(fab.now_s().to_bits(), 1_800.0f64.to_bits());
+    assert_eq!(fab.timeline().telemetry_latencies_ms().len(), 6);
+    fab.run_cycles(2_000 - 6).expect("healthy loop");
+    assert_eq!(fab.now(), SimNs::from_secs(300 * 2_000));
+    assert_eq!(
+        fab.now_s().to_bits(),
+        (300.0 * 2_000.0f64).to_bits(),
+        "cycle instant is exact, not accumulated"
+    );
 }
